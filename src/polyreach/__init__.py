@@ -69,7 +69,6 @@ from .kripke import (
     is_valid,
     nonempty_chains,
     parse_model,
-    reach_relation,
     reach_targets,
     serialize_model,
     witness_path,

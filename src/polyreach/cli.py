@@ -341,7 +341,8 @@ def _cmd_maze(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
         goal_formula = _polyline_query(query)
         area = evaluate(model, goal_formula.left)
         goal = evaluate(model, goal_formula.right)
-        starts = [w for w in triangles if w in evaluate(model, goal_formula)]
+        reaching = evaluate(model, goal_formula)
+        starts = [w for w in triangles if w in reaching]
         if not starts:
             report.add("polyline", "NONE")
             report.fail()

@@ -138,11 +138,7 @@ def make_complex(
         cells.add(fs)
     if auto_complete:
         for fs in list(cells):
-            members = sorted(fs)
-            for mask in range(1, 1 << len(members)):
-                cells.add(frozenset(
-                    members[i] for i in range(len(members)) if mask >> i & 1
-                ))
+            cells.update(_faces(fs))
     if not cells:
         raise GeometryError("a complex needs at least one simplex")
 
@@ -154,14 +150,27 @@ def make_complex(
     return complex_
 
 
+def _faces(simplex: frozenset[str]) -> list[frozenset[str]]:
+    """Every nonempty subset of a simplex, the simplex itself included."""
+    members = sorted(simplex)
+    return [
+        frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
+        for mask in range(1, 1 << len(members))
+    ]
+
+
 def structural_problems(complex_: SimplicialComplex) -> list[str]:
-    """Face closure, combinatorial intersections, and affine independence."""
+    """Face closure and affine independence.
+
+    Face closure also makes every nonempty intersection of two cells a cell,
+    since it is a face of both; where closure fails, the defect is reported
+    as a missing face.
+    """
     problems: list[str] = []
     cells = complex_.simplices
     for simplex in sorted(cells, key=lambda s: (len(s), tuple(sorted(s)))):
         members = sorted(simplex)
-        for mask in range(1, 1 << len(members)):
-            face = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
+        for face in _faces(simplex):
             if face not in cells:
                 problems.append(
                     f"missing face {cell_label(face)} of {cell_label(simplex)}"
@@ -172,14 +181,6 @@ def structural_problems(complex_: SimplicialComplex) -> list[str]:
             rank = np.linalg.matrix_rank(spanning, tol=complex_.tolerance)
             if rank != len(members) - 1:
                 problems.append(f"degenerate simplex {cell_label(simplex)}")
-    for a in sorted(cells, key=cell_label):
-        for b in sorted(cells, key=cell_label):
-            shared = a & b
-            if shared and shared not in cells:
-                problems.append(
-                    f"intersection {cell_label(shared)} of {cell_label(a)}"
-                    f" and {cell_label(b)} is not a cell"
-                )
     return problems
 
 
@@ -228,26 +229,24 @@ def make_polyhedral_model(
 
 def face_poset(complex_: SimplicialComplex) -> PosetModel:
     """Cells ordered by vertex-set inclusion."""
-    labels = {s: cell_label(s) for s in complex_.simplices}
-    edges = [
-        (labels[a], labels[b])
-        for a in complex_.simplices
-        for b in complex_.simplices
-        if a != b and a < b
-    ]
-    model = build_model(labels.values(), edges)
-    assert isinstance(model, PosetModel)
-    return model
+    return companion(PolyhedralModel(complex=complex_, valuation={}))
 
 
 def companion(model: PolyhedralModel) -> PosetModel:
     """Face poset with the polyhedral valuation carried over."""
-    poset = face_poset(model.complex)
+    labels = {s: cell_label(s) for s in model.complex.simplices}
+    edges = [
+        (labels[face], labels[cell])
+        for cell in labels
+        for face in _faces(cell)
+        if face != cell and face in labels
+    ]
     valuation = {
-        name: {cell_label(c) for c in cells}
-        for name, cells in model.valuation.items()
+        name: {labels[c] for c in cells} for name, cells in model.valuation.items()
     }
-    return build_model(poset.worlds, [p for p in poset.order if p[0] != p[1]], valuation)  # type: ignore[return-value]
+    poset = build_model(labels.values(), edges, valuation)
+    assert isinstance(poset, PosetModel)
+    return poset
 
 
 def barycentric_fit(

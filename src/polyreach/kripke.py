@@ -6,9 +6,11 @@ up-set of a world.  The reachability operator gamma(a, b) holds at w when an
 up-down path starts at w, ends at a b-world, and every intermediate world
 satisfies a.
 
-Two interchangeable engines compute reachability: a connected-component
-shortcut on the comparability graph of the a-extension (the default), and a
-least-fixpoint relation oracle kept available for cross-checking.
+One engine evaluates formulas: build_model keeps the closed order as bitmask
+rows over world positions, and a formula compiles once into flat ops on those
+masks.  The box is the complement of the down-closure of the complement;
+gamma(a, b) is the down-closure of the comparability components of a that
+meet the up-closure of b.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .formulas import (
@@ -36,7 +39,6 @@ __all__ = [
     "PosetModel",
     "build_model",
     "evaluate",
-    "reach_relation",
     "reach_targets",
     "witness_path",
     "check_updown_path",
@@ -66,6 +68,8 @@ class PreorderModel:
     """Reflexive-transitive Kripke frame with a valuation.
 
     ``up[w]`` is the set of worlds v with w <= v, ``down[w]`` the converse.
+    ``up_rows``, ``down_rows`` and ``atom_rows`` hold the same sets as
+    bitmasks over the positions in ``worlds``, which ``index`` maps to.
     Instances are immutable; all derived data is precomputed by build_model.
     """
 
@@ -75,6 +79,10 @@ class PreorderModel:
     valuation: Mapping[str, frozenset[str]]
     up: Mapping[str, frozenset[str]] = field(repr=False)
     down: Mapping[str, frozenset[str]] = field(repr=False)
+    index: Mapping[str, int] = field(repr=False)
+    up_rows: tuple[int, ...] = field(repr=False)
+    down_rows: tuple[int, ...] = field(repr=False)
+    atom_rows: Mapping[str, int] = field(repr=False)
 
     @property
     def world_set(self) -> frozenset[str]:
@@ -124,32 +132,23 @@ def build_model(
     if not world_list:
         raise ModelError("a model needs at least one world")
     world_list.sort()
+    index = {w: i for i, w in enumerate(world_list)}
 
-    adjacency: dict[str, set[str]] = {w: set() for w in world_list}
+    succ: list[list[int]] = [[] for _ in world_list]
+    pred: list[list[int]] = [[] for _ in world_list]
     base: list[tuple[str, str]] = []
     for a, b in edges:
         if a not in seen or b not in seen:
             raise ModelError(f"edge ({a!r}, {b!r}) mentions an unknown world")
-        adjacency[a].add(b)
+        succ[index[a]].append(index[b])
+        pred[index[b]].append(index[a])
         base.append((a, b))
-
-    up: dict[str, frozenset[str]] = {}
-    for w in world_list:
-        reached = {w}
-        queue = deque([w])
-        while queue:
-            x = queue.popleft()
-            for y in adjacency[x]:
-                if y not in reached:
-                    reached.add(y)
-                    queue.append(y)
-        up[w] = frozenset(reached)
-    down: dict[str, set[str]] = {w: set() for w in world_list}
-    for w in world_list:
-        for v in up[w]:
-            down[v].add(w)
+    up_rows = _closure_rows(succ)
+    down_rows = _closure_rows(pred)
+    up = {w: _names(world_list, row) for w, row in zip(world_list, up_rows)}
 
     val: dict[str, frozenset[str]] = {}
+    atom_rows: dict[str, int] = {}
     if valuation:
         for name in sorted(valuation):
             _validate_atom_name(name)
@@ -160,10 +159,9 @@ def build_model(
                     f"valuation for {name!r} names unknown worlds: {sorted(unknown)}"
                 )
             val[name] = members
+            atom_rows[name] = _row(index, members)
 
-    antisymmetric = all(
-        not (v in up[w] and w in up[v]) for w in world_list for v in up[w] if v != w
-    )
+    antisymmetric = all(u & d == 1 << i for i, (u, d) in enumerate(zip(up_rows, down_rows)))
     cls = PosetModel if antisymmetric else PreorderModel
     return cls(
         worlds=tuple(world_list),
@@ -171,8 +169,154 @@ def build_model(
         order=frozenset((w, v) for w in world_list for v in up[w]),
         valuation=val,
         up=up,
-        down={w: frozenset(vs) for w, vs in down.items()},
+        down={w: _names(world_list, row) for w, row in zip(world_list, down_rows)},
+        index=index,
+        up_rows=tuple(up_rows),
+        down_rows=tuple(down_rows),
+        atom_rows=atom_rows,
     )
+
+
+def _closure_rows(succ: list[list[int]]) -> list[int]:
+    """Reflexive-transitive closure of the digraph 0..n-1 as bitmask rows.
+
+    Iterative Tarjan: a strongly connected component is popped only after
+    every component it reaches, so its row is its members' bits joined with
+    the rows of their successors, one OR per edge.
+    """
+    rows = [0] * len(succ)
+    number = [0] * len(succ)  # DFS discovery order from 1; 0 = unvisited
+    low = [0] * len(succ)
+    stack: list[int] = []
+    count = 0
+    for root in range(len(succ)):
+        if number[root]:
+            continue
+        count += 1
+        number[root] = low[root] = count
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if not number[w]:
+                    count += 1
+                    number[w] = low[w] = count
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if not rows[w]:  # visited without a row: still on the stack
+                    low[v] = min(low[v], number[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == number[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                    row = 0
+                    for w in component:
+                        row |= 1 << w
+                        for x in succ[w]:
+                            row |= rows[x]
+                    for w in component:
+                        rows[w] = row
+    return rows
+
+
+def _row(index: Mapping[str, int], worlds: Iterable[str]) -> int:
+    row = 0
+    for w in worlds:
+        row |= 1 << index[w]
+    return row
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _names(worlds: Sequence[str], row: int) -> frozenset[str]:
+    """The worlds at the set bits of row, selected by its reversed binary digits."""
+    return frozenset(compress(worlds, bin(row)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _compile(formula: Formula) -> list[tuple]:
+    """Flat op list (kind, x, y) with shared subformulas computed once.
+
+    The kind is the core constructor class; x and y are positions of earlier
+    ops, or the name of an Atom.  The memo is keyed by object identity: the
+    dataclass __hash__ of a formula recurses through the tree on every lookup.
+    """
+    ops: list[tuple] = []
+    done: dict[int, int] = {}
+
+    def emit(f: Formula) -> int:
+        hit = done.get(id(f))
+        if hit is not None:
+            return hit
+        match f:
+            case Atom(name):
+                op = (Atom, name, None)
+            case Not(child) | Box(child):
+                op = (type(f), emit(child), None)
+            case And(left, right) | Reach(left, right):
+                op = (type(f), emit(left), emit(right))
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
+        ops.append(op)
+        done[id(f)] = len(ops) - 1
+        return len(ops) - 1
+
+    emit(formula)
+    return ops
+
+
+def _run(ops: list[tuple], up: Sequence[int], down: Sequence[int],
+         atoms: Mapping[str, int], full: int) -> int:
+    """The extension of the compiled formula as a bitmask of worlds."""
+    out: list[int] = []
+    for kind, x, y in ops:
+        if kind is Atom:
+            out.append(atoms.get(x, 0))
+        elif kind is Not:
+            out.append(full ^ out[x])
+        elif kind is And:
+            out.append(out[x] & out[y])
+        elif kind is Box:
+            out.append(full ^ _closure(full ^ out[x], down))
+        else:
+            out.append(_reach(out[x], _closure(out[y], up), up, down))
+    return out[-1]
+
+
+def _closure(row: int, rows: Sequence[int]) -> int:
+    """Union of rows[i] over the members i of row."""
+    out = 0
+    while row:
+        low = row & -row
+        out |= rows[low.bit_length() - 1]
+        row ^= low
+    return out
+
+
+def _reach(area: int, touch: int, up: Sequence[int], down: Sequence[int]) -> int:
+    """Down-closure of the comparability components of area that meet touch.
+
+    Each component grows from its lowest world by frontier expansion over
+    the comparable worlds, so every world of area is expanded once.
+    """
+    out = 0
+    while area and touch:
+        component = frontier = area & -area
+        while frontier:
+            grown = _closure(frontier, up) | _closure(frontier, down)
+            frontier = grown & area & ~component
+            component |= frontier
+        area ^= component
+        if component & touch:
+            out |= _closure(component, down)
+    return out
 
 
 def _check_world_subset(model: PreorderModel, worlds: Iterable[str]) -> frozenset[str]:
@@ -183,73 +327,6 @@ def _check_world_subset(model: PreorderModel, worlds: Iterable[str]) -> frozense
     return ws
 
 
-def _comparability_components(
-    model: PreorderModel, area: frozenset[str]
-) -> list[frozenset[str]]:
-    """Connected components of the comparability graph restricted to area."""
-    remaining = set(area)
-    components: list[frozenset[str]] = []
-    while remaining:
-        start = remaining.pop()
-        component = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            linked = {y for y in remaining if y in model.up[x] or x in model.up[y]}
-            remaining -= linked
-            component |= linked
-            queue.extend(linked)
-        components.append(frozenset(component))
-    return components
-
-
-def _reach_components(
-    model: PreorderModel, area: frozenset[str], goal: frozenset[str]
-) -> frozenset[str]:
-    """Extension of gamma via comparability components of the area.
-
-    A world satisfies the operator exactly when some component of the
-    comparability graph on the area both lies above it somewhere and lies
-    above a goal world somewhere.
-    """
-    if not area:
-        return frozenset()
-    above_goal: set[str] = set()
-    for v in goal:
-        above_goal |= model.up[v]
-    result: set[str] = set()
-    for component in _comparability_components(model, area):
-        if component & above_goal:
-            result.update(w for w in model.worlds if model.up[w] & component)
-    return frozenset(result)
-
-
-def reach_relation(
-    model: PreorderModel, area: Iterable[str]
-) -> frozenset[tuple[str, str]]:
-    """Least relation R with: w R v if some a in area has w <= a >= v, and
-    w R v if some a in area has w R a R v.  Reference oracle; quadratic in
-    the number of worlds per iteration, meant for desk-scale cross-checks.
-    """
-    a_set = _check_world_subset(model, area)
-    relation: set[tuple[str, str]] = set()
-    for u in a_set:
-        below = model.down[u]
-        relation.update((w, v) for w in below for v in below)
-    changed = True
-    while changed:
-        changed = False
-        for u in a_set:
-            sources = [w for (w, x) in relation if x == u]
-            targets = [v for (x, v) in relation if x == u]
-            for w in sources:
-                for v in targets:
-                    if (w, v) not in relation:
-                        relation.add((w, v))
-                        changed = True
-    return frozenset(relation)
-
-
 def reach_targets(
     model: PreorderModel, start: str, area: Iterable[str]
 ) -> frozenset[str]:
@@ -257,12 +334,11 @@ def reach_targets(
     a_set = _check_world_subset(model, area)
     if start not in model.world_set:
         raise ModelError(f"unknown world: {start!r}")
-    result: set[str] = set()
-    for component in _comparability_components(model, a_set):
-        if model.up[start] & component:
-            for u in component:
-                result |= model.down[u]
-    return frozenset(result)
+    row = _reach(
+        _row(model.index, a_set), model.up_rows[model.index[start]],
+        model.up_rows, model.down_rows,
+    )
+    return _names(model.worlds, row)
 
 
 def witness_path(
@@ -291,6 +367,8 @@ def witness_path(
     for u in sorted(a_set & model.up[start]):
         parents[u] = None
         queue.append(u)
+    # A lower's first expansion already links every upper above it.
+    expanded: set[str] = set()
     final: str | None = None
     while queue:
         u = queue.popleft()
@@ -298,8 +376,9 @@ def witness_path(
             final = u
             break
         for x in sorted(a_set & model.down[u]):
-            if not model.lt(x, u):
+            if x in expanded or not model.lt(x, u):
                 continue
+            expanded.add(x)
             for u2 in sorted(a_set & model.up[x]):
                 if u2 in parents or not model.lt(x, u2):
                     continue
@@ -359,52 +438,19 @@ def check_updown_path(
     return all(w in a_set for w in path[1:k])
 
 
-def evaluate(
-    model: PreorderModel, formula: Formula, *, reach_impl: str = "components"
-) -> frozenset[str]:
+def evaluate(model: PreorderModel, formula: Formula) -> frozenset[str]:
     """Extension of a core formula.
 
     Atoms absent from the valuation denote the empty set, which also covers
-    the reserved truth-constant atom.  reach_impl selects the reachability
-    engine: "components" (default) or "fixpoint" (the reference oracle).
+    the reserved truth-constant atom.
     """
-    if reach_impl not in ("components", "fixpoint"):
-        raise ValueError(f"unknown reach_impl: {reach_impl!r}")
-    cache: dict[Formula, frozenset[str]] = {}
-
-    def ext(f: Formula) -> frozenset[str]:
-        hit = cache.get(f)
-        if hit is not None:
-            return hit
-        match f:
-            case Atom(name):
-                result = model.atom_extension(name)
-            case Not(child):
-                result = model.world_set - ext(child)
-            case And(left, right):
-                result = ext(left) & ext(right)
-            case Box(child):
-                body = ext(child)
-                result = frozenset(w for w in model.worlds if model.up[w] <= body)
-            case Reach(left, right):
-                area, goal = ext(left), ext(right)
-                if reach_impl == "components":
-                    result = _reach_components(model, area, goal)
-                else:
-                    relation = reach_relation(model, area)
-                    result = frozenset(
-                        w for (w, v) in relation if v in goal
-                    )
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
-        cache[f] = result
-        return result
-
-    return ext(formula)
+    full = (1 << len(model.worlds)) - 1
+    row = _run(_compile(formula), model.up_rows, model.down_rows, model.atom_rows, full)
+    return _names(model.worlds, row)
 
 
-def is_valid(model: PreorderModel, formula: Formula, **kwargs) -> bool:
-    return evaluate(model, formula, **kwargs) == model.world_set
+def is_valid(model: PreorderModel, formula: Formula) -> bool:
+    return evaluate(model, formula) == model.world_set
 
 
 def nonempty_chains(model: PosetModel) -> list[frozenset[str]]:

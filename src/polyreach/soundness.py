@@ -21,7 +21,15 @@ from .formulas import (
     implies,
     lor,
 )
-from .kripke import PosetModel, PreorderModel, build_model, evaluate, is_valid
+from .kripke import (
+    PosetModel,
+    PreorderModel,
+    _compile,
+    _run,
+    build_model,
+    evaluate,
+    is_valid,
+)
 
 __all__ = [
     "random_formula",
@@ -207,9 +215,9 @@ def axiom_suite(
 # Every finite poset admits a relabeling along a linear extension, so
 # enumerating only orders that ascend a fixed world enumeration finds a
 # witness whenever one exists at the size bound.  Orders are generated as
-# transitive closures of ascending edge sets, deduplicated; candidate
-# models are evaluated with a bitmask engine and every hit is re-checked
-# with the general evaluator before being returned.
+# transitive closures of ascending edge sets, deduplicated.  The formula is
+# compiled once and its ops run on the bitmask rows of every candidate; every
+# hit is re-checked on a built model before being returned.
 # ---------------------------------------------------------------------------
 
 
@@ -237,69 +245,6 @@ def _ascending_closures(n: int) -> tuple[tuple[int, ...], ...]:
             seen.add(key)
             out.append(key)
     return tuple(out)
-
-
-def _mask_components(up: tuple[int, ...], area: int, n: int) -> list[int]:
-    components = []
-    remaining = area
-    while remaining:
-        seed_bit = remaining & -remaining
-        component = seed_bit
-        frontier = seed_bit
-        while frontier:
-            new = 0
-            i = 0
-            while i < n:
-                if area >> i & 1 and not component >> i & 1:
-                    j = 0
-                    hit = False
-                    while j < n:
-                        if frontier >> j & 1 and (up[i] >> j & 1 or up[j] >> i & 1):
-                            hit = True
-                            break
-                        j += 1
-                    if hit:
-                        new |= 1 << i
-                i += 1
-            component |= new
-            frontier = new
-        components.append(component)
-        remaining &= ~component
-    return components
-
-
-def _mask_eval(f: Formula, up: tuple[int, ...], val: dict[str, int], n: int, full: int) -> int:
-    match f:
-        case Atom(name):
-            return val.get(name, 0)
-        case Not(child):
-            return full ^ _mask_eval(child, up, val, n, full)
-        case And(left, right):
-            return _mask_eval(left, up, val, n, full) & _mask_eval(right, up, val, n, full)
-        case Box(child):
-            body = _mask_eval(child, up, val, n, full)
-            out = 0
-            for w in range(n):
-                if up[w] & ~body == 0:
-                    out |= 1 << w
-            return out
-        case Reach(left, right):
-            area = _mask_eval(left, up, val, n, full)
-            goal = _mask_eval(right, up, val, n, full)
-            if not area or not goal:
-                return 0
-            above_goal = 0
-            for v in range(n):
-                if goal >> v & 1:
-                    above_goal |= up[v]
-            out = 0
-            for component in _mask_components(up, area, n):
-                if component & above_goal:
-                    for w in range(n):
-                        if up[w] & component:
-                            out |= 1 << w
-            return out
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def _model_from_masks(
@@ -331,15 +276,19 @@ def find_model(
     unsatisfiable outright.
     """
     names = sorted(atoms_of(formula))
+    ops = _compile(formula)
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         for up in _ascending_closures(n):
+            down = tuple(
+                sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
+            )
             for assignment in range(1 << (n * len(names))):
                 val = {
                     p: assignment >> (index * n) & full
                     for index, p in enumerate(names)
                 }
-                hits = _mask_eval(formula, up, val, n, full)
+                hits = _run(ops, up, down, val, full)
                 if hits:
                     world_index = (hits & -hits).bit_length() - 1
                     model = _model_from_masks(up, val, n)

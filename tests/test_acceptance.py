@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 
+from oracles import reach_relation, updown_bfs
 from polyreach.formulas import (
     Atom,
     Reach,
@@ -31,7 +32,6 @@ from polyreach.kripke import (
     build_model,
     check_updown_path,
     evaluate,
-    reach_relation,
     serialize_model,
 )
 from polyreach.soundness import (
@@ -58,25 +58,6 @@ def report(line):
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
-
-
-def updown_bfs(model, start, area):
-    """Worlds reachable from start by an alternating up-down walk.
-
-    Odd positions of such a walk always sit inside the area; even positions
-    may leave it only to end the walk.  A shortest walk never repeats a
-    (world, parity) state, so plain breadth-first search is complete.
-    """
-    frontier = {start}
-    seen_even = {start}
-    reached = set()
-    while frontier:
-        tops = {u for x in frontier for u in model.up[x] if u in area}
-        bottoms = {v for u in tops for v in model.down[u]}
-        reached |= bottoms
-        frontier = {v for v in bottoms if v in area and v not in seen_even}
-        seen_even |= frontier
-    return reached
 
 
 def tuple_paths_extension(model, area, goal, shapes):

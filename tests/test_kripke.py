@@ -8,8 +8,12 @@ the reachability fixpoint by hand.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import evaluate_fixpoint, reach_relation, updown_bfs
 
 from polyreach.formulas import (
+    BOT,
     TOP,
     And,
     Atom,
@@ -33,7 +37,6 @@ from polyreach.kripke import (
     is_valid,
     nonempty_chains,
     parse_model,
-    reach_relation,
     reach_targets,
     serialize_model,
     witness_path,
@@ -138,6 +141,17 @@ def test_gamma_needs_a_middle_point():
     assert evaluate(m, Reach(P, r)) == frozenset()
 
 
+def test_gamma_through_a_zigzag_frozen():
+    # a < c > d < e > f with the area a, c, d, e and the goal f: the path
+    # a, c, d, e, f crosses two peaks, so gamma holds everywhere in the area.
+    m = build_model(
+        ["a", "c", "d", "e", "f"],
+        [("a", "c"), ("d", "c"), ("d", "e"), ("f", "e")],
+        {"p": {"a", "c", "d", "e"}, "q": {"f"}},
+    )
+    assert evaluate(m, Reach(P, Q)) == frozenset({"a", "c", "d", "e", "f"})
+
+
 def test_gamma_with_top_goal_is_diamond():
     rng = random.Random(71)
     for _ in range(40):
@@ -156,9 +170,47 @@ def test_engines_agree_on_random_models():
     for _ in range(60):
         m = random_preorder_model(rng, max_worlds=5, atoms=("p", "q"))
         f = Reach(lor(P, Q), And(P, Q))
-        assert evaluate(m, f) == evaluate(m, f, reach_impl="fixpoint")
+        assert evaluate(m, f) == evaluate_fixpoint(m, f)
         g = Reach(P, Reach(Q, P))
-        assert evaluate(m, g) == evaluate(m, g, reach_impl="fixpoint")
+        assert evaluate(m, g) == evaluate_fixpoint(m, g)
+
+
+@st.composite
+def _models(draw):
+    """Small models; posets take only edges that ascend the world numbering."""
+    n = draw(st.integers(1, 7))
+    worlds = [f"w{i}" for i in range(n)]
+    poset = draw(st.booleans())
+    pairs = [(a, b) for a in range(n) for b in range(n) if (a < b if poset else a != b)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    valuation = {
+        p: {worlds[i] for i in draw(st.sets(st.integers(0, n - 1)))} for p in ("p", "q")
+    }
+    return build_model(worlds, [(worlds[a], worlds[b]) for a, b in edges], valuation)
+
+
+_formulas = st.recursive(
+    st.sampled_from([P, Q, TOP, BOT]),
+    lambda kids: st.one_of(
+        kids.map(Not),
+        kids.map(Box),
+        st.tuples(kids, kids).map(lambda ab: And(*ab)),
+        st.tuples(kids, kids).map(lambda ab: Reach(*ab)),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models(), _formulas, _formulas)
+def test_evaluate_matches_fixpoint_oracle(m, f, g):
+    nested = Reach(f, Box(Reach(g, f)))
+    for formula in (f, nested, Reach(P, Q)):
+        assert evaluate(m, formula) == evaluate_fixpoint(m, formula)
+    area = evaluate(m, f)
+    relation = reach_relation(m, area)
+    for w in m.worlds:
+        assert reach_targets(m, w, area) == frozenset(v for (x, v) in relation if x == w)
 
 
 def test_box_is_an_interior_operator():
@@ -283,6 +335,32 @@ def test_witness_path_agrees_with_evaluate_everywhere():
                 assert check_updown_path(m, path, area)
             else:
                 assert path is None
+
+
+def test_witness_paths_on_a_large_poset():
+    # Goals high in the order make many uppers share lowers; each lower is
+    # expanded once, so this stays fast while paths stay checkable.
+    rng = random.Random(41)
+    n = 1000
+    worlds = [f"w{i:04d}" for i in range(n)]
+    edges = [
+        (worlds[i], worlds[min(n - 1, i + rng.randint(1, 40))])
+        for i in range(n - 1)
+        for _ in range(2)
+    ]
+    m = build_model(worlds, edges)
+    area = frozenset(w for w in worlds if rng.random() < 0.6)
+    goal = frozenset(rng.sample(worlds[-n // 10:], 5))
+    found = 0
+    for start in rng.sample(worlds, 8):
+        path = witness_path(m, start, area, goal)
+        reachable = bool(updown_bfs(m, start, area) & goal)
+        assert (path is not None) == reachable
+        if path is not None:
+            found += 1
+            assert path[0] == start and path[-1] in goal
+            assert check_updown_path(m, path, area)
+    assert found > 0
 
 
 def test_check_updown_path_shapes():

@@ -8,6 +8,7 @@ labeled posets for n = 4.
 import random
 
 import pytest
+from oracles import evaluate_fixpoint
 
 from polyreach.formulas import (
     And,
@@ -153,7 +154,7 @@ def test_find_model_gamma_without_diamond_goal():
     assert len(model.worlds) <= 3
     f = parse_formula("gamma(p, q) & ~<>q")
     assert world in evaluate(model, f)
-    assert world in evaluate(model, f, reach_impl="fixpoint")
+    assert world in evaluate_fixpoint(model, f)
 
 
 def test_find_model_unsat_cases():
