@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -369,7 +370,11 @@ class AdequateSet:
         return f in self.members
 
     def __iter__(self) -> Iterator[Formula]:
-        return iter(sorted(self.members, key=formula_key))
+        return iter(self._ordered)
+
+    @cached_property
+    def _ordered(self) -> tuple[Formula, ...]:
+        return tuple(sorted(self.members, key=formula_key))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -11,6 +11,7 @@ rather than guess.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -119,6 +120,8 @@ def make_complex(
         if not _VERTEX_RE.match(name):
             raise GeometryError(f"invalid vertex id: {name!r}")
         coords = tuple(float(c) for c in vertices[name])
+        if not all(map(math.isfinite, coords)):
+            raise GeometryError(f"vertex {name!r} has a non-finite coordinate")
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
@@ -433,6 +436,9 @@ def maze_generate(
     unknown = set(weights) - set(MAZE_CLASSES)
     if unknown:
         raise GeometryError(f"unknown classes in densities: {sorted(unknown)}")
+    bad = sorted(c for c, w in weights.items() if not (math.isfinite(w) and w >= 0))
+    if bad:
+        raise GeometryError(f"densities must be finite and non-negative: {bad}")
     classes = [cls for cls in MAZE_CLASSES if weights.get(cls, 0.0) > 0]
     if not classes:
         raise GeometryError("densities select no classes")
@@ -532,13 +538,12 @@ def serialize_complex(model: PolyhedralModel) -> str:
     for name in sorted(complex_.vertices):
         coords = " ".join(repr(c) for c in complex_.vertices[name])
         lines.append(f"vertex {name} {coords}")
-    maximal = [
-        s
-        for s in complex_.sorted_simplices()
-        if not any(s < other for other in complex_.simplices)
-    ]
-    for simplex in maximal:
-        lines.append("simplex " + " ".join(sorted(simplex)))
+    proper_faces = {
+        face for s in complex_.simplices for face in _faces(s) if face != s
+    }
+    for simplex in complex_.sorted_simplices():
+        if simplex not in proper_faces:
+            lines.append("simplex " + " ".join(sorted(simplex)))
     for atom in sorted(model.valuation):
         cells = sorted("".join(sorted(c)) for c in model.valuation[atom])
         lines.append(f"valuation {atom} " + " ".join(cells))

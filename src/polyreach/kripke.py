@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -84,7 +85,7 @@ class PreorderModel:
     down_rows: tuple[int, ...] = field(repr=False)
     atom_rows: Mapping[str, int] = field(repr=False)
 
-    @property
+    @cached_property
     def world_set(self) -> frozenset[str]:
         return frozenset(self.worlds)
 

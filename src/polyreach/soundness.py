@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 from .formulas import (
     And,
@@ -25,7 +26,6 @@ from .kripke import (
     PosetModel,
     PreorderModel,
     _compile,
-    _run,
     build_model,
     evaluate,
     is_valid,
@@ -215,10 +215,21 @@ def axiom_suite(
 # Every finite poset admits a relabeling along a linear extension, so
 # enumerating only orders that ascend a fixed world enumeration finds a
 # witness whenever one exists at the size bound.  Orders are generated as
-# transitive closures of ascending edge sets, deduplicated.  The formula is
-# compiled once and its ops run on the bitmask rows of every candidate; every
-# hit is re-checked on a built model before being returned.
+# transitive closures of ascending edge sets, deduplicated.
+#
+# On n worlds a valuation is an assignment whose bit k*n + i says that the
+# k-th atom in sorted order holds at world i.  The compiled formula runs on many assignments of an
+# order at once: a value holds one int per world, and bit v of that int is
+# the truth at the world under the v-th assignment of the block.  The low
+# _LANE_BITS assignment bits index these lanes and the high bits are fixed
+# per block, so memory stays bounded and a satisfiable search stops at the
+# first block with a hit.  Sizes, orders, blocks, lanes and worlds are all
+# scanned in ascending order, so the first hit is the least (order,
+# assignment, world).  It is re-checked on a built model with the general
+# evaluator before being returned.
 # ---------------------------------------------------------------------------
+
+_LANE_BITS = 12
 
 
 @lru_cache(maxsize=None)
@@ -265,6 +276,98 @@ def _model_from_masks(
     return model
 
 
+@lru_cache(maxsize=None)
+def _lane_patterns(bits: int) -> tuple[int, ...]:
+    """Masks over 2**bits lanes: mask b has lane v set when bit b of v is set."""
+    lanes = 1 << bits
+    out = []
+    for b in range(bits):
+        run = 1 << b
+        unit = ((1 << run) - 1) << run  # run clear lanes, then run set lanes
+        out.append(unit * (((1 << lanes) - 1) // ((1 << 2 * run) - 1)))
+    return tuple(out)
+
+
+def _block_atoms(
+    names: list[str], n: int, block: int, lane_bits: int, ones: int
+) -> dict[str, list[int]]:
+    """Lane values of the atoms over the assignments of one block."""
+    patterns = _lane_patterns(lane_bits)
+    atoms = {}
+    for k, p in enumerate(names):
+        atoms[p] = [
+            patterns[bit] if bit < lane_bits
+            else ones if block >> (bit - lane_bits) & 1
+            else 0
+            for bit in range(k * n, k * n + n)
+        ]
+    return atoms
+
+
+def _order_lists(
+    up_masks: tuple[int, ...],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Up-sets, down-sets and comparable worlds as world positions."""
+    n = len(up_masks)
+    up = [tuple(j for j in range(n) if m >> j & 1) for m in up_masks]
+    down = [tuple(i for i in range(n) if up_masks[i] >> j & 1) for j in range(n)]
+    return up, down, [tuple(sorted({*up[i], *down[i]})) for i in range(n)]
+
+
+def _lane_or(values: list[int], worlds: Iterable[int]) -> int:
+    out = 0
+    for i in worlds:
+        out |= values[i]
+    return out
+
+
+def _run_lanes(
+    ops: list[tuple],
+    up: list[tuple[int, ...]],
+    down: list[tuple[int, ...]],
+    comparable: list[tuple[int, ...]],
+    atoms: dict[str, list[int]],
+    ones: int,
+) -> list[int]:
+    """The compiled formula's lane value at every world.
+
+    up, down and comparable list world positions; ones has every lane set.
+    """
+    n = len(up)
+    out: list[list[int]] = []
+    for kind, x, y in ops:
+        if kind is Atom:
+            value = atoms.get(x, [0] * n)
+        elif kind is Not:
+            value = [ones ^ v for v in out[x]]
+        elif kind is And:
+            value = [v & w for v, w in zip(out[x], out[y])]
+        elif kind is Box:
+            child = out[x]
+            value = []
+            for row in up:
+                truth = ones
+                for j in row:
+                    truth &= child[j]
+                value.append(truth)
+        else:
+            # gamma: the area worlds above a goal world, grown through
+            # comparable area worlds to a fixpoint, then down-closed.
+            area, goal = out[x], out[y]
+            grown = [area[u] & _lane_or(goal, down[u]) for u in range(n)]
+            changed = True
+            while changed:
+                changed = False
+                for u in range(n):
+                    more = area[u] & _lane_or(grown, comparable[u])
+                    if more != grown[u]:
+                        grown[u] = more
+                        changed = True
+            value = [_lane_or(grown, row) for row in up]
+        out.append(value)
+    return out[-1]
+
+
 def find_model(
     formula: Formula, max_worlds: int
 ) -> tuple[PosetModel, str] | None:
@@ -279,27 +382,33 @@ def find_model(
     ops = _compile(formula)
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
-        for up in _ascending_closures(n):
-            down = tuple(
-                sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
-            )
-            for assignment in range(1 << (n * len(names))):
+        bits = n * len(names)
+        lane_bits = min(bits, _LANE_BITS)
+        ones = (1 << (1 << lane_bits)) - 1
+        for up_masks in _ascending_closures(n):
+            rows = _order_lists(up_masks)
+            for block in range(1 << (bits - lane_bits)):
+                atoms = _block_atoms(names, n, block, lane_bits, ones)
+                hits = _run_lanes(ops, *rows, atoms, ones)
+                lanes = _lane_or(hits, range(n))
+                if not lanes:
+                    continue
+                lane = (lanes & -lanes).bit_length() - 1
+                world_index = next(i for i in range(n) if hits[i] >> lane & 1)
+                assignment = block << lane_bits | lane
                 val = {
                     p: assignment >> (index * n) & full
                     for index, p in enumerate(names)
                 }
-                hits = _run(ops, up, down, val, full)
-                if hits:
-                    world_index = (hits & -hits).bit_length() - 1
-                    model = _model_from_masks(up, val, n)
-                    world = f"w{world_index}"
-                    confirmed = evaluate(model, formula)
-                    if world not in confirmed or world in evaluate(model, Not(formula)):
-                        raise AssertionError(
-                            "bitmask search and evaluator disagree on "
-                            f"{format_formula(formula)}"
-                        )
-                    return model, world
+                model = _model_from_masks(up_masks, val, n)
+                world = f"w{world_index}"
+                confirmed = evaluate(model, formula)
+                if world not in confirmed or world in evaluate(model, Not(formula)):
+                    raise AssertionError(
+                        "lane search and evaluator disagree on "
+                        f"{format_formula(formula)}"
+                    )
+                return model, world
     return None
 
 

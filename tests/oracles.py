@@ -1,11 +1,15 @@
 """Slow reference semantics that the tests compare the package against.
 
-Nothing here shares code with the package's evaluation engine: worlds are
-handled by name, the box reads the up-sets directly, and gamma is read off
-the least-fixpoint reachability relation.
+The evaluators share no code with the package's evaluation engine: worlds
+are handled by name, the box reads the up-sets directly, and gamma is read
+off the least-fixpoint reachability relation.  The scalar satisfiability
+search walks the same orders and assignments as ``find_model`` but runs the
+mask engine once per assignment instead of on lanes of assignments.
 """
 
-from polyreach.formulas import And, Atom, Box, Not, Reach
+from polyreach.formulas import And, Atom, Box, Not, Reach, atoms_of
+from polyreach.kripke import _compile, _run
+from polyreach.soundness import _ascending_closures, _model_from_masks
 
 
 def reach_relation(model, area):
@@ -71,3 +75,25 @@ def updown_bfs(model, start, area):
         frontier = {v for v in bottoms if v in area and v not in seen_even}
         seen_even |= frontier
     return reached
+
+
+def find_model_scalar(formula, max_worlds):
+    """First (model, world) of the bounded search, one assignment at a time."""
+    names = sorted(atoms_of(formula))
+    ops = _compile(formula)
+    for n in range(1, max_worlds + 1):
+        full = (1 << n) - 1
+        for up in _ascending_closures(n):
+            down = tuple(
+                sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
+            )
+            for assignment in range(1 << (n * len(names))):
+                val = {
+                    p: assignment >> (index * n) & full
+                    for index, p in enumerate(names)
+                }
+                hits = _run(ops, up, down, val, full)
+                if hits:
+                    world_index = (hits & -hits).bit_length() - 1
+                    return _model_from_masks(up, val, n), f"w{world_index}"
+    return None

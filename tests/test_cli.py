@@ -283,6 +283,22 @@ def test_maze_rejects_a_bad_density(capsys):
     assert "density" in err
 
 
+def test_maze_rejects_a_negative_density(capsys):
+    code, _, err = run(
+        capsys, ["maze", "4", "4", "--seed", "1", "--densities", "red=-1,green=2"]
+    )
+    assert code == 2
+    assert err.startswith("error:") and "red" in err
+
+
+def test_maze_rejects_a_nan_density(capsys):
+    code, _, err = run(
+        capsys, ["maze", "4", "4", "--seed", "1", "--densities", "red=nan,green=1"]
+    )
+    assert code == 2
+    assert err.startswith("error:") and "red" in err
+
+
 def test_maze_all_white_query_lists_both_triangles(capsys):
     code, out, _ = run(
         capsys,
@@ -397,6 +413,14 @@ def test_audit_names_missing_faces(capsys, tmp_path):
     assert lines_with(out, "structure") == ["fail"]
     problems = lines_with(out, "problem")
     assert "missing face a+b of a+b+c" in problems
+
+
+def test_audit_rejects_a_nan_coordinate(capsys, tmp_path):
+    path = write(tmp_path, "nan.cx", TRIANGLE.replace("vertex b 1 0", "vertex b nan 0"))
+    code, out, err = run(capsys, ["audit", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
 
 
 def test_audit_geometric_flags_overlaps(capsys, tmp_path):

@@ -6,20 +6,35 @@ labeled posets for n = 4.
 """
 
 import random
+from unittest import mock
 
 import pytest
-from oracles import evaluate_fixpoint
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import evaluate_fixpoint, find_model_scalar
 
+from polyreach import soundness
 from polyreach.formulas import (
+    BOT,
+    TOP,
     And,
     Atom,
+    Box,
     Not,
     Reach,
+    atoms_of,
     dia,
     implies,
     parse_formula,
 )
-from polyreach.kripke import PosetModel, build_model, evaluate, serialize_model
+from polyreach.kripke import (
+    PosetModel,
+    _compile,
+    _run,
+    build_model,
+    evaluate,
+    serialize_model,
+)
 from polyreach.soundness import (
     LAW_NAMES,
     all_posets,
@@ -180,6 +195,91 @@ def test_find_model_prefers_smaller_models():
     found = find_model(dia(P), 4)
     assert found is not None
     assert len(found[0].worlds) == 1
+
+
+def test_criterion_10_refutations_hold_at_bound_6():
+    for text in ("gamma(p, q) & ~<>p", "~(<>(p & gamma(p, q)) -> gamma(p, q))"):
+        assert find_model(parse_formula(text), 6) is None
+
+
+@st.composite
+def _pooled_formulas(draw, max_atoms=4):
+    """A formula over a pool of one to max_atoms atoms."""
+    size = draw(st.integers(1, max_atoms))
+    pool = [Atom(name) for name in ("p", "q", "r", "s")[:size]]
+    return draw(st.recursive(
+        st.sampled_from(pool + [TOP, BOT]),
+        lambda kids: st.one_of(
+            kids.map(Not),
+            kids.map(Box),
+            st.tuples(kids, kids).map(lambda ab: And(*ab)),
+            st.tuples(kids, kids).map(lambda ab: Reach(*ab)),
+        ),
+        max_leaves=8,
+    ))
+
+
+def _witness(found):
+    return None if found is None else (serialize_model(found[0]), found[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pooled_formulas(), st.integers(1, 4), st.sampled_from([1, 3, 12]))
+def test_find_model_matches_scalar_search(f, bound, lane_bits):
+    # Narrow lanes make searches cross blocks at small sizes.  Four atoms at
+    # bound 4 are left out: the scalar search takes seconds to refute there.
+    assume(len(atoms_of(f)) * bound <= 12)
+    with mock.patch.object(soundness, "_LANE_BITS", lane_bits):
+        found = find_model(f, bound)
+    assert _witness(found) == _witness(find_model_scalar(f, bound))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pooled_formulas(max_atoms=2), _pooled_formulas(max_atoms=2),
+       st.integers(1, 5), st.sampled_from([2, 12]), st.data())
+def test_lanes_match_the_mask_engine_on_every_assignment(f, g, n, lane_bits, data):
+    # Every lane of every block, not just the first hit, against _run; the
+    # outer gamma makes every example exercise the comparability fixpoint.
+    up_masks = data.draw(st.sampled_from(soundness._ascending_closures(n)))
+    down_masks = [
+        sum(1 << i for i in range(n) if up_masks[i] >> j & 1) for j in range(n)
+    ]
+    rows = soundness._order_lists(up_masks)
+    full = (1 << n) - 1
+    for formula in (f, Reach(f, g)):
+        names = sorted(atoms_of(formula))
+        ops = _compile(formula)
+        bits = n * len(names)
+        width = min(bits, lane_bits)
+        ones = (1 << (1 << width)) - 1
+        for block in range(1 << (bits - width)):
+            atoms = soundness._block_atoms(names, n, block, width, ones)
+            lanes = soundness._run_lanes(ops, *rows, atoms, ones)
+            for lane in range(1 << width):
+                assignment = block << width | lane
+                val = {p: assignment >> (k * n) & full for k, p in enumerate(names)}
+                want = _run(ops, up_masks, down_masks, val, full)
+                assert [want >> i & 1 for i in range(n)] == [
+                    v >> lane & 1 for v in lanes
+                ]
+
+
+def test_find_model_crosses_lane_blocks_frozen():
+    # Four worlds with pairwise distinct atoms: the first witness assigns s
+    # at w1, assignment bit 13, so it lies in the third block of 2**12
+    # lanes.  The scalar search agrees but takes seconds.
+    f = parse_formula(
+        "p & ~q & ~r & ~s & <>(q & ~p & ~r & ~s)"
+        " & <>(r & ~p & ~q & ~s) & <>(s & ~p & ~q & ~r)"
+    )
+    found = find_model(f, 4)
+    assert found is not None
+    assert found[1] == "w0"
+    assert serialize_model(found[0]) == (
+        "worlds w0 w1 w2 w3\n"
+        "order w0 w1\norder w0 w2\norder w0 w3\n"
+        "valuation p w0\nvaluation q w3\nvaluation r w2\nvaluation s w1\n"
+    )
 
 
 @pytest.mark.parametrize("text", ["[]p & ~p", "gamma(p & ~p, q)"])
