@@ -8,6 +8,7 @@ reports.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -320,10 +321,7 @@ def _cmd_maze(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
             except ValueError as exc:
                 raise InputError(f"bad density {item!r}") from exc
     query = _parse_formula_arg(ns.query)
-    try:
-        maze = maze_generate(ns.width, ns.height, ns.seed, densities)
-    except GeometryError as exc:
-        raise InputError(str(exc)) from exc
+    maze = maze_generate(ns.width, ns.height, ns.seed, densities)
     report = RunReport("maze", args)
     report.add(
         "inputs",
@@ -418,7 +416,10 @@ def _sniff(text: str, path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls;
+    no action keeps state between parses."""
     parser = argparse.ArgumentParser(
         prog="polyreach",
         description="Reachability logic on finite orders and polyhedra.",
@@ -482,7 +483,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = ns.handler(ns, args)
-    except InputError as exc:
+    except (InputError, ParseError, ModelError, GeometryError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.render())

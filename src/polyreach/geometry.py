@@ -15,9 +15,8 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .formulas import Formula, KEYWORDS, RESERVED_ATOM
 from .kripke import (
@@ -27,6 +26,11 @@ from .kripke import (
     evaluate,
     nonempty_chains,
 )
+
+# numpy is imported inside the functions that compute with it, so that
+# commands which build no complex never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GeometryError",
@@ -88,10 +92,10 @@ class SimplicialComplex:
     def dimension(self) -> int:
         return max(len(s) for s in self.simplices) - 1
 
-    @property
+    @cached_property
     def scale(self) -> float:
-        coords = np.array(list(self.vertices.values()), dtype=float)
-        extent = float(np.max(coords) - np.min(coords)) if coords.size else 0.0
+        coords = [c for point in self.vertices.values() for c in point]
+        extent = max(coords) - min(coords) if coords else 0.0
         return max(1.0, extent)
 
     @property
@@ -135,7 +139,7 @@ def make_complex(
         fs = frozenset(simplex)
         if not fs:
             raise GeometryError("empty simplex")
-        unknown = fs - verts.keys()
+        unknown = [v for v in fs if v not in verts]
         if unknown:
             raise GeometryError(f"simplex mentions unknown vertices: {sorted(unknown)}")
         cells.add(fs)
@@ -169,6 +173,8 @@ def structural_problems(complex_: SimplicialComplex) -> list[str]:
     since it is a face of both; where closure fails, the defect is reported
     as a missing face.
     """
+    import numpy as np
+
     problems: list[str] = []
     cells = complex_.simplices
     for simplex in sorted(cells, key=lambda s: (len(s), tuple(sorted(s)))):
@@ -256,6 +262,8 @@ def barycentric_fit(
     complex_: SimplicialComplex, simplex: frozenset[str], point: Sequence[float]
 ) -> tuple[np.ndarray, float]:
     """Least-squares barycentric coordinates and the fit residual."""
+    import numpy as np
+
     members = sorted(simplex)
     matrix = np.vstack(
         [
@@ -294,6 +302,8 @@ def cell_of(
 
 
 def barycenter(complex_: SimplicialComplex, simplex: Iterable[str]) -> tuple[float, ...]:
+    import numpy as np
+
     members = sorted(simplex)
     coords = np.array([complex_.vertices[v] for v in members], dtype=float)
     return tuple(float(x) for x in coords.mean(axis=0))
@@ -569,6 +579,8 @@ def geometric_problems(complex_: SimplicialComplex, *, samples: int = 3) -> list
     Checks vertex containment, interior sample points, and pairwise edge
     proximity.  Only supported in ambient dimension at most three.
     """
+    import numpy as np
+
     if complex_.ambient_dim > 3:
         raise GeometryError("geometric audit supports ambient dimension <= 3")
     problems: list[str] = []
@@ -622,6 +634,8 @@ def geometric_problems(complex_: SimplicialComplex, *, samples: int = 3) -> list
 def _segments_cross(
     p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray, tol: float
 ) -> bool:
+    import numpy as np
+
     d1 = p2 - p1
     d2 = q2 - q1
     matrix = np.array([d1 @ d1, -(d1 @ d2), -(d1 @ d2), d2 @ d2]).reshape(2, 2)

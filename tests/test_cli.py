@@ -5,9 +5,14 @@ report on stdout, the diagnostics on stderr, and the exit code.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from polyreach import cli
 from polyreach.cli import DEFAULT_MAZE_QUERY, main
 from polyreach.formulas import parse_formula
 from polyreach.geometry import parse_complex, realize, serialize_complex
@@ -470,3 +475,111 @@ def test_unknown_verb_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _outcomes(capsys, calls):
+    """Exit code, stdout and stderr of each call, timing line dropped."""
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        err = "".join(
+            line for line in captured.err.splitlines(keepends=True)
+            if not line.startswith("elapsed-ms\t")
+        )
+        results.append((code, captured.out, err))
+    return results
+
+
+def test_reused_parser_matches_fresh_parsers(capsys, monkeypatch, tmp_path):
+    path = write(tmp_path, "chain.model", CHAIN)
+    calls = [
+        ["check", path, "p", "--world", "b"],
+        ["check", path, "p"],
+        ["sat", "p & ~p", "--max-worlds", "2"],
+        ["sat", "p"],
+        ["check", path],
+        ["cut", path],
+        ["maze", "2", "2", "--seed", "3", "--polyline"],
+        ["maze", "2", "2", "--seed", "3"],
+        ["sat", "p", "--max-worlds", "x"],
+        ["nerve", path],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    reused = _outcomes(capsys, calls)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _outcomes(capsys, calls) == reused
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 2, 0, 1, 0, 2, 0]
+
+
+# ---------------------------------------------------------------------------
+# error boundary: package errors and deep nesting exit 2, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def test_companion_on_colliding_cell_names_is_an_input_error(capsys, tmp_path):
+    path = write(
+        tmp_path,
+        "plus.cx",
+        "vertex a 0 0\nvertex b 1 0\nvertex a+b 2 0\nsimplex a b\nsimplex a+b\n",
+    )
+    code, out, err = run(capsys, ["companion", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "a+b" in err
+
+
+def test_check_on_a_deeply_nested_formula_is_an_input_error(capsys, tmp_path):
+    path = write(tmp_path, "chain.model", CHAIN)
+    code, out, err = run(capsys, ["check", path, "(" * 3000 + "p" + ")" * 3000])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_sat_on_a_deeply_nested_formula_is_an_input_error(capsys):
+    code, out, err = run(capsys, ["sat", "~" * 3000 + "p"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# start-up: numpy is loaded only by the verbs that build a complex
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_fresh(tmp_path, script):
+    """Runs a script in a fresh interpreter that imports only from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_check_and_sat_never_load_numpy(tmp_path):
+    write(tmp_path, "chain.model", CHAIN)
+    _run_fresh(tmp_path, (
+        "import sys, polyreach.cli as cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cli.main(['check', 'chain.model', 'gamma(p, p)']) == 0\n"
+        "assert cli.main(['sat', 'p & <>q', '--max-worlds', '2']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    ))
+
+
+def test_realize_loads_numpy_on_first_use(tmp_path):
+    write(tmp_path, "chain.model", CHAIN)
+    _run_fresh(tmp_path, (
+        "import sys, polyreach.cli as cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert cli.main(['realize', 'chain.model']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    ))

@@ -160,6 +160,27 @@ def test_cell_of_partitions_random_interior_points():
         assert cell in cx.simplices
 
 
+def test_scale_matches_the_numpy_extent():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(5)
+    for _ in range(50):
+        dim = rng.randint(1, 3)
+        magnitude = 10.0 ** rng.randint(-3, 6)
+        vertices = {
+            f"v{i}": tuple(rng.uniform(-magnitude, magnitude) for _ in range(dim))
+            for i in range(rng.randint(1, 6))
+        }
+        cx = make_complex(vertices, [[v] for v in vertices])
+        coords = np.array(list(vertices.values()), dtype=float)
+        assert cx.scale == max(1.0, float(np.max(coords) - np.min(coords)))
+
+
+def test_unknown_vertices_are_named_in_sorted_order():
+    with pytest.raises(GeometryError) as exc:
+        make_complex(TRIANGLE, [["z", "a", "y"]])
+    assert str(exc.value) == "simplex mentions unknown vertices: ['y', 'z']"
+
+
 def test_tolerance_scales_with_coordinates():
     big = make_complex(
         {k: (x * 1e6, y * 1e6) for k, (x, y) in TRIANGLE.items()},
