@@ -12,38 +12,14 @@ import functools
 import hashlib
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .formulas import (
-    Formula,
-    ParseError,
-    Reach,
-    adequate_closure,
-    format_formula,
-    parse_formula,
-)
-from .geometry import (
-    GeometryError,
-    barycenter,
-    cell_label,
-    geometric_problems,
-    maze_generate,
-    parse_complex,
-    realize,
-    serialize_complex,
-    structural_problems,
-)
-from .kripke import (
-    ModelError,
-    PosetModel,
-    check_updown_path,
-    evaluate,
-    parse_model,
-    serialize_model,
-    witness_path,
-)
-from .soundness import LAW_NAMES, axiom_suite, find_model
-from .transforms import cut, cut_filtration_pipeline, filtrate, nerve
+# Each command imports the analysis modules it uses when it runs, so that a
+# process loads only what its verb needs.
+from .errors import PolyreachError
+
+if TYPE_CHECKING:
+    from .formulas import Formula, Reach
 
 DEFAULT_MAZE_QUERY = "red & gamma(red | corridor | white, green)"
 
@@ -96,6 +72,8 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def _parse_formula_arg(text: str) -> Formula:
+    from .formulas import ParseError, parse_formula
+
     try:
         return parse_formula(text)
     except ParseError as exc:
@@ -103,6 +81,8 @@ def _parse_formula_arg(text: str) -> Formula:
 
 
 def _load_model(path: str):
+    from .kripke import ModelError, parse_model
+
     text = _read_file(path)
     try:
         return parse_model(text), text
@@ -111,6 +91,8 @@ def _load_model(path: str):
 
 
 def _load_complex(path: str, *, auto_complete: bool = True):
+    from .geometry import GeometryError, parse_complex
+
     text = _read_file(path)
     try:
         return parse_complex(text, auto_complete=auto_complete), text
@@ -119,6 +101,8 @@ def _load_complex(path: str, *, auto_complete: bool = True):
 
 
 def _load_formulas_file(path: str) -> list[Formula]:
+    from .formulas import ParseError, parse_formula
+
     formulas = []
     for number, raw in enumerate(_read_file(path).splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -144,6 +128,9 @@ def _emit_text(report: RunReport, key: str, text: str) -> None:
 
 
 def _cmd_check(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .formulas import Reach, format_formula
+    from .kripke import check_updown_path, evaluate, witness_path
+
     model, text = _load_model(ns.model)
     formula = _parse_formula_arg(ns.formula)
     report = RunReport("check", args)
@@ -175,6 +162,10 @@ def _cmd_check(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
 
 
 def _cmd_sat(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .formulas import format_formula
+    from .kripke import serialize_model
+    from .soundness import find_model
+
     formula = _parse_formula_arg(ns.formula)
     if ns.max_worlds < 1:
         raise InputError("--max-worlds must be at least 1")
@@ -196,6 +187,8 @@ def _cmd_sat(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
 
 
 def _preservation_lines(report: RunReport, result) -> None:
+    from .formulas import format_formula
+
     failing = {member for member, _ in result.report.mismatches}
     for member in result.sigma:
         verdict = "fail" if member in failing else "pass"
@@ -214,6 +207,9 @@ def _preservation_lines(report: RunReport, result) -> None:
 
 
 def _cmd_nerve(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .kripke import PosetModel, serialize_model
+    from .transforms import nerve
+
     model, text = _load_model(ns.model)
     if not isinstance(model, PosetModel):
         raise InputError("nerve needs a poset model")
@@ -226,6 +222,9 @@ def _cmd_nerve(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
 
 
 def _cmd_cut(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .kripke import serialize_model
+    from .transforms import cut
+
     model, text = _load_model(ns.model)
     report = RunReport("cut", args)
     report.add("inputs", _digest([text.encode()]))
@@ -236,6 +235,10 @@ def _cmd_cut(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
 
 
 def _cmd_filtrate(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .formulas import adequate_closure, format_formula
+    from .kripke import evaluate, serialize_model
+    from .transforms import filtrate
+
     model, text = _load_model(ns.model)
     formulas = _load_formulas_file(ns.formulas)
     report = RunReport("filtrate", args)
@@ -259,6 +262,9 @@ def _cmd_filtrate(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
 
 
 def _cmd_pipeline(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .kripke import serialize_model
+    from .transforms import cut_filtration_pipeline
+
     model, text = _load_model(ns.model)
     formulas = _load_formulas_file(ns.formulas)
     report = RunReport("pipeline", args)
@@ -272,6 +278,9 @@ def _cmd_pipeline(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
 
 
 def _cmd_realize(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .geometry import realize, serialize_complex
+    from .kripke import PosetModel
+
     model, text = _load_model(ns.model)
     if not isinstance(model, PosetModel):
         raise InputError("realization needs a poset model")
@@ -284,6 +293,8 @@ def _cmd_realize(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
 
 
 def _cmd_companion(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .kripke import serialize_model
+
     poly, text = _load_complex(ns.complex)
     report = RunReport("companion", args)
     report.add("inputs", _digest([text.encode()]))
@@ -294,7 +305,7 @@ def _cmd_companion(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
 
 
 def _polyline_query(formula: Formula) -> Reach:
-    from .formulas import And
+    from .formulas import And, Reach
 
     probe = formula
     while isinstance(probe, And):
@@ -307,6 +318,10 @@ def _polyline_query(formula: Formula) -> Reach:
 
 
 def _cmd_maze(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
+    from .formulas import format_formula
+    from .geometry import barycenter, cell_label, maze_generate, serialize_complex
+    from .kripke import evaluate, witness_path
+
     if ns.width < 1 or ns.height < 1:
         raise InputError("maze dimensions must be at least 1")
     if ns.seed is None:
@@ -366,6 +381,9 @@ def _cmd_audit(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
     report.add("inputs", _digest([text.encode()]))
     report.add("kind", kind)
     if kind == "model":
+        from .kripke import ModelError, parse_model
+        from .soundness import LAW_NAMES, axiom_suite
+
         if ns.seed is None:
             raise InputError("model audits sample instances; pass --seed")
         try:
@@ -384,6 +402,8 @@ def _cmd_audit(ns: argparse.Namespace, args: Sequence[str]) -> RunReport:
         if not suite.all_ok:
             report.fail()
     else:
+        from .geometry import geometric_problems, structural_problems
+
         poly, _ = _load_complex(ns.path, auto_complete=False)
         problems = structural_problems(poly.complex)
         if ns.geometric_audit:
@@ -483,7 +503,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = ns.handler(ns, args)
-    except (InputError, ParseError, ModelError, GeometryError, RecursionError) as exc:
+    except (InputError, PolyreachError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.render())

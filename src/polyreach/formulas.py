@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from .errors import PolyreachError
+
 __all__ = [
     "Formula",
     "Atom",
@@ -117,7 +119,7 @@ def pibox(f: Formula) -> Formula:
     return Not(Reach(TOP, Not(f)))
 
 
-class ParseError(ValueError):
+class ParseError(PolyreachError):
     """Syntax error with a character position into the input."""
 
     def __init__(self, message: str, position: int) -> None:

@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .errors import PolyreachError
 from .formulas import Formula, KEYWORDS, RESERVED_ATOM
 from .kripke import (
     PosetModel,
+    _require_distinct,
     build_model,
     check_updown_path,
     evaluate,
@@ -63,7 +65,7 @@ TOLERANCE = 1e-9
 _VERTEX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_+]*\Z")
 
 
-class GeometryError(ValueError):
+class GeometryError(PolyreachError):
     pass
 
 
@@ -244,6 +246,7 @@ def face_poset(complex_: SimplicialComplex) -> PosetModel:
 def companion(model: PolyhedralModel) -> PosetModel:
     """Face poset with the polyhedral valuation carried over."""
     labels = {s: cell_label(s) for s in model.complex.simplices}
+    _require_distinct(labels.values(), GeometryError)
     edges = [
         (labels[face], labels[cell])
         for cell in labels

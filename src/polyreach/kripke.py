@@ -22,6 +22,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
+from .errors import PolyreachError
 from .formulas import (
     And,
     Atom,
@@ -52,7 +53,7 @@ __all__ = [
 _WORLD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_+]*\Z")
 
 
-class ModelError(ValueError):
+class ModelError(PolyreachError):
     pass
 
 
@@ -108,6 +109,16 @@ def _validate_atom_name(name: str) -> None:
         raise ModelError(f"atom name {name!r} is reserved")
     if not re.match(r"[A-Za-z][A-Za-z0-9_]*\Z", name) or name in KEYWORDS:
         raise ModelError(f"invalid atom name: {name!r}")
+
+
+def _require_distinct(names: Iterable[str], error: type[ValueError] = ModelError) -> None:
+    """Raises ``error`` if two generated world ids coincide.  Generated ids
+    join member ids with '+', and member ids may contain '+' themselves."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise error(f"generated world id {name!r} names two different worlds")
+        seen.add(name)
 
 
 def build_model(

@@ -33,6 +33,7 @@ from .formulas import (
 from .kripke import (
     PosetModel,
     PreorderModel,
+    _require_distinct,
     build_model,
     check_updown_path,
     evaluate,
@@ -88,7 +89,10 @@ def nerve(model: PosetModel) -> NerveModel:
     """All non-empty chains under inclusion, atoms read off the chain top."""
     if not isinstance(model, PosetModel):
         raise ValueError("nerve needs a poset")
-    chains = {_label(c): c for c in nonempty_chains(model)}
+    found = nonempty_chains(model)
+    names = [_label(c) for c in found]
+    _require_distinct(names)
+    chains = dict(zip(names, found))
     tops = {
         name: max(chain, key=lambda w: len(model.down[w] & chain))
         for name, chain in chains.items()
@@ -128,7 +132,7 @@ def is_updown_morphism(
 ) -> MorphismCheck:
     """Check the three morphism clauses, reporting the first violation.
 
-    atom: truth of atoms is carried forward.
+    atom: w and f(w) agree on every atom.
     forth: the order is preserved, hence so is every up-down triple.
     back: whenever f(w) sits under u' over v', some world reachable from w
     through the preimage of u' is mapped onto v'.
@@ -139,8 +143,10 @@ def is_updown_morphism(
 
     atoms = sorted(set(source.valuation) | set(target.valuation))
     for atom in atoms:
-        for w in sorted(source.atom_extension(atom)):
-            if f[w] not in target.atom_extension(atom):
+        source_ext = source.atom_extension(atom)
+        target_ext = target.atom_extension(atom)
+        for w in source.worlds:
+            if (w in source_ext) != (f[w] in target_ext):
                 return MorphismCheck(False, "atom", (atom, w))
 
     for w, u in sorted(source.order):
@@ -226,6 +232,7 @@ def filtrate(model: PreorderModel, sigma: AdequateSet) -> ClassModel:
     for w in model.worlds:
         classes.setdefault(theory_of[w], []).append(w)
     names = {theory: _label(members) for theory, members in classes.items()}
+    _require_distinct(names.values())
     class_map = {w: names[theory_of[w]] for w in model.worlds}
     theories = {names[theory]: theory for theory in classes}
 

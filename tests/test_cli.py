@@ -5,6 +5,7 @@ report on stdout, the diagnostics on stderr, and the exit code.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -529,7 +530,29 @@ def test_companion_on_colliding_cell_names_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, ["companion", path])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "a+b" in err
+    assert err.startswith("error: generated world id 'a+b'")
+
+
+# Ids may contain '+', the separator of generated names; the verbs below
+# would otherwise merge two worlds into one.
+PLUS_IDS = "worlds a b a+b\n"
+
+
+def test_nerve_on_colliding_chain_names_is_an_input_error(capsys, tmp_path):
+    path = write(tmp_path, "plus.model", PLUS_IDS + "order a b\n")
+    code, out, err = run(capsys, ["nerve", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: generated world id 'a+b'")
+
+
+def test_filtrate_on_colliding_class_names_is_an_input_error(capsys, tmp_path):
+    path = write(tmp_path, "plus.model", PLUS_IDS + "valuation p a b\n")
+    formulas = write(tmp_path, "p.txt", "p\n")
+    code, out, err = run(capsys, ["filtrate", path, "--formulas", formulas])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: generated world id 'a+b'")
 
 
 def test_check_on_a_deeply_nested_formula_is_an_input_error(capsys, tmp_path):
@@ -548,31 +571,79 @@ def test_sat_on_a_deeply_nested_formula_is_an_input_error(capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up: numpy is loaded only by the verbs that build a complex
+# start-up: each verb loads only the modules it uses
 # ---------------------------------------------------------------------------
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _run_fresh(tmp_path, script):
+def _run_fresh(tmp_path, script, *args):
     """Runs a script in a fresh interpreter that imports only from src."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        [sys.executable, "-c", script, *args], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    return done
 
 
-def test_check_and_sat_never_load_numpy(tmp_path):
+# Runs cli.main on the argv given as JSON, then prints the exit code, the
+# polyreach modules loaded and whether numpy is, as the last stdout line.
+LOAD_PROBE = (
+    "import json, sys\n"
+    "import polyreach.cli as cli\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "code = cli.main(argv) if argv else 0\n"
+    "loaded = [m[len('polyreach.'):] for m in sys.modules if m.startswith('polyreach.')]\n"
+    "print(json.dumps([code, sorted(loaded), 'numpy' in sys.modules]))\n"
+)
+ORDERS = ["cli", "errors", "formulas", "kripke"]
+GEOMETRY = sorted(ORDERS + ["geometry"])
+SOUNDNESS = sorted(ORDERS + ["soundness"])
+TRANSFORMS = sorted(ORDERS + ["transforms"])
+
+
+# id, argv, exit code, polyreach submodules loaded, numpy loaded (None: not
+# pinned here; the verbs that build a complex load it on first use).
+VERB_LOADS = [
+    ("import", [], 0, ["cli", "errors"], False),
+    ("check", ["check", "chain.model", "gamma(p, p)"], 0, ORDERS, False),
+    ("sat", ["sat", "p & <>q", "--max-worlds", "2"], 0, SOUNDNESS, False),
+    ("audit-model", ["audit", "chain.model", "--seed", "1"], 0, SOUNDNESS, False),
+    ("nerve", ["nerve", "chain.model"], 0, TRANSFORMS, False),
+    ("cut", ["cut", "chain.model"], 0, TRANSFORMS, False),
+    ("filtrate", ["filtrate", "chain.model", "--formulas", "p.txt"], 0, TRANSFORMS, False),
+    ("pipeline", ["pipeline", "chain.model", "--formulas", "p.txt"], 0, TRANSFORMS, False),
+    ("realize", ["realize", "chain.model"], 0, GEOMETRY, None),
+    ("companion", ["companion", "triangle.cx"], 0, GEOMETRY, None),
+    ("maze", ["maze", "2", "2", "--seed", "3"], 0, GEOMETRY, None),
+    ("audit-complex", ["audit", "triangle.cx"], 0, GEOMETRY, None),
+    ("bad-formula", ["check", "chain.model", "p &"], 2, ORDERS, False),
+    ("bad-model", ["check", "bad.model", "p"], 2, ORDERS, False),
+    ("bad-complex", ["companion", "bad.cx"], 2, GEOMETRY, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules, numpy",
+    [case[1:] for case in VERB_LOADS],
+    ids=[case[0] for case in VERB_LOADS],
+)
+def test_verb_loads_only_its_modules(tmp_path, argv, code, modules, numpy):
     write(tmp_path, "chain.model", CHAIN)
-    _run_fresh(tmp_path, (
-        "import sys, polyreach.cli as cli\n"
-        "assert 'numpy' not in sys.modules\n"
-        "assert cli.main(['check', 'chain.model', 'gamma(p, p)']) == 0\n"
-        "assert cli.main(['sat', 'p & <>q', '--max-worlds', '2']) == 0\n"
-        "assert 'numpy' not in sys.modules\n"
-    ))
+    write(tmp_path, "p.txt", "p\n")
+    write(tmp_path, "triangle.cx", TRIANGLE)
+    write(tmp_path, "bad.model", "worlds a\norder a b\n")
+    write(tmp_path, "bad.cx", "vertex a 0 0\nsimplex a b\n")
+    done = _run_fresh(tmp_path, LOAD_PROBE, json.dumps(argv))
+    got_code, loaded, got_numpy = json.loads(done.stdout.splitlines()[-1])
+    assert got_code == code
+    assert loaded == modules
+    if numpy is not None:
+        assert got_numpy == numpy
+    if code == 2:
+        assert done.stderr.startswith("error: ")
 
 
 def test_realize_loads_numpy_on_first_use(tmp_path):

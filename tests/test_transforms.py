@@ -111,14 +111,30 @@ def test_identity_is_a_morphism():
     assert check and check.clause is None
 
 
-def test_atoms_only_carry_forward():
+def test_atoms_must_agree_both_ways():
     bare = build_model(["w"], [])
     rich = build_model(["w"], [], {"p": {"w"}})
-    assert is_updown_morphism({"w": "w"}, bare, rich)
+    forward = is_updown_morphism({"w": "w"}, bare, rich)
+    assert not forward
+    assert forward.clause == "atom"
+    assert forward.witness == ("p", "w")
     backward = is_updown_morphism({"w": "w"}, rich, bare)
     assert not backward
     assert backward.clause == "atom"
     assert backward.witness == ("p", "w")
+
+
+def test_a_map_that_merges_truth_values_is_no_morphism():
+    # Carrying p forward alone would accept this map, yet p fails to pull
+    # back: b lacks p while its image c has it.
+    source = build_model(["a", "b"], [], {"p": {"a"}})
+    target = build_model(["c"], [], {"p": {"c"}})
+    check = is_updown_morphism({"a": "c", "b": "c"}, source, target)
+    assert not check
+    assert check.clause == "atom"
+    assert check.witness == ("p", "b")
+    with pytest.raises(ValueError, match="atom clause"):
+        pullback_check({"a": "c", "b": "c"}, source, target, [Atom("p")])
 
 
 def test_forth_violation_reported():
