@@ -22,7 +22,6 @@ from .errors import PolyreachError
 from .formulas import Formula, KEYWORDS, RESERVED_ATOM
 from .kripke import (
     PosetModel,
-    _require_distinct,
     build_model,
     check_updown_path,
     evaluate,
@@ -246,7 +245,6 @@ def face_poset(complex_: SimplicialComplex) -> PosetModel:
 def companion(model: PolyhedralModel) -> PosetModel:
     """Face poset with the polyhedral valuation carried over."""
     labels = {s: cell_label(s) for s in model.complex.simplices}
-    _require_distinct(labels.values(), GeometryError)
     edges = [
         (labels[face], labels[cell])
         for cell in labels

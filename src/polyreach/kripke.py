@@ -111,16 +111,6 @@ def _validate_atom_name(name: str) -> None:
         raise ModelError(f"invalid atom name: {name!r}")
 
 
-def _require_distinct(names: Iterable[str], error: type[ValueError] = ModelError) -> None:
-    """Raises ``error`` if two generated world ids coincide.  Generated ids
-    join member ids with '+', and member ids may contain '+' themselves."""
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise error(f"generated world id {name!r} names two different worlds")
-        seen.add(name)
-
-
 def build_model(
     worlds: Iterable[str],
     edges: Iterable[tuple[str, str]] = (),

@@ -31,9 +31,9 @@ from .formulas import (
     saturate_diamonds,
 )
 from .kripke import (
+    ModelError,
     PosetModel,
     PreorderModel,
-    _require_distinct,
     build_model,
     check_updown_path,
     evaluate,
@@ -64,6 +64,16 @@ __all__ = [
 
 def _label(members: Iterable[str]) -> str:
     return "+".join(sorted(members))
+
+
+def _require_distinct(names: Iterable[str]) -> None:
+    """Raises ModelError if two generated world ids coincide.  Generated ids
+    join member ids with '+', and member ids may contain '+' themselves."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ModelError(f"generated world id {name!r} names two different worlds")
+        seen.add(name)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +155,7 @@ def is_updown_morphism(
     for atom in atoms:
         source_ext = source.atom_extension(atom)
         target_ext = target.atom_extension(atom)
-        for w in source.worlds:
+        for w in sorted(source.worlds):
             if (w in source_ext) != (f[w] in target_ext):
                 return MorphismCheck(False, "atom", (atom, w))
 
