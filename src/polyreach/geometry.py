@@ -333,15 +333,8 @@ def realize(model: PosetModel) -> PolyhedralModel:
     }
     chains = nonempty_chains(model)
     complex_ = make_complex(vertices, chains, auto_complete=False)
-
-    def chain_top(chain: frozenset[str]) -> str:
-        return max(chain, key=lambda w: len(model.down[w] & chain))
-
-    tops = {chain: chain_top(chain) for chain in chains}
     valuation = {
-        name: frozenset(
-            chain for chain in chains if tops[chain] in members
-        )
+        name: frozenset(chain for chain, top in chains.items() if top in members)
         for name, members in model.valuation.items()
     }
     return PolyhedralModel(complex=complex_, valuation=valuation)
@@ -426,10 +419,7 @@ def maze_from_labels(
 
     valuation: dict[str, set[frozenset[str]]] = {cls: set() for cls in MAZE_CLASSES}
     for triangle, cls in triangles.items():
-        members = sorted(triangle)
-        for mask in range(1, 1 << len(members)):
-            face = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-            valuation[cls].add(face)
+        valuation[cls].update(_faces(triangle))
     valuation = {cls: cells for cls, cells in valuation.items() if cells}
     return make_polyhedral_model(complex_, valuation)
 

@@ -6,11 +6,13 @@ up-set of a world.  The reachability operator gamma(a, b) holds at w when an
 up-down path starts at w, ends at a b-world, and every intermediate world
 satisfies a.
 
-One engine evaluates formulas: build_model keeps the closed order as bitmask
-rows over world positions, and a formula compiles once into flat ops on those
-masks.  The box is the complement of the down-closure of the complement;
-gamma(a, b) is the down-closure of the comparability components of a that
-meet the up-closure of b.
+Inside the library a world is its position in the sorted ``worlds`` tuple,
+and a set of worlds is a bitmask over positions.  build_model stores the
+closed order once, as one up-row and one down-row per world, and a formula
+compiles once into flat ops on those masks.  The box is the complement of
+the down-closure of the complement; gamma(a, b) is the down-closure of the
+comparability components of a that meet the up-closure of b.  Names are
+decoded from masks only where a result leaves the library.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import PolyreachError
 from .formulas import (
@@ -69,18 +71,16 @@ class ModelFormatError(ModelError):
 class PreorderModel:
     """Reflexive-transitive Kripke frame with a valuation.
 
-    ``up[w]`` is the set of worlds v with w <= v, ``down[w]`` the converse.
-    ``up_rows``, ``down_rows`` and ``atom_rows`` hold the same sets as
-    bitmasks over the positions in ``worlds``, which ``index`` maps to.
-    Instances are immutable; all derived data is precomputed by build_model.
+    ``worlds`` is sorted by name and ``index`` maps each name to its
+    position, so ascending positions are name order.  The order is stored
+    once, as closed bitmask rows over positions: bit v of ``up_rows[w]`` is
+    set when w <= v, and ``down_rows`` is the converse.  ``atom_rows`` holds
+    each atom's extension the same way.  Instances are immutable; build_model
+    precomputes everything but ``order`` and ``world_set``.
     """
 
     worlds: tuple[str, ...]
-    base_edges: tuple[tuple[str, str], ...]
-    order: frozenset[tuple[str, str]]
     valuation: Mapping[str, frozenset[str]]
-    up: Mapping[str, frozenset[str]] = field(repr=False)
-    down: Mapping[str, frozenset[str]] = field(repr=False)
     index: Mapping[str, int] = field(repr=False)
     up_rows: tuple[int, ...] = field(repr=False)
     down_rows: tuple[int, ...] = field(repr=False)
@@ -90,11 +90,20 @@ class PreorderModel:
     def world_set(self) -> frozenset[str]:
         return frozenset(self.worlds)
 
+    @cached_property
+    def order(self) -> frozenset[tuple[str, str]]:
+        """Every pair (w, v) with w <= v, decoded from the rows on first read."""
+        w = self.worlds
+        return frozenset(
+            (a, b) for a, row in zip(w, self.up_rows) for b in _names(w, row)
+        )
+
     def leq(self, a: str, b: str) -> bool:
-        return b in self.up[a]
+        return bool(self.up_rows[self.index[a]] >> self.index[b] & 1)
 
     def lt(self, a: str, b: str) -> bool:
-        return b in self.up[a] and a not in self.up[b]
+        i, j = self.index[a], self.index[b]
+        return bool(self.up_rows[i] >> j & 1) and not self.up_rows[j] >> i & 1
 
     def atom_extension(self, name: str) -> frozenset[str]:
         return self.valuation.get(name, frozenset())
@@ -138,16 +147,13 @@ def build_model(
 
     succ: list[list[int]] = [[] for _ in world_list]
     pred: list[list[int]] = [[] for _ in world_list]
-    base: list[tuple[str, str]] = []
     for a, b in edges:
         if a not in seen or b not in seen:
             raise ModelError(f"edge ({a!r}, {b!r}) mentions an unknown world")
         succ[index[a]].append(index[b])
         pred[index[b]].append(index[a])
-        base.append((a, b))
     up_rows = _closure_rows(succ)
     down_rows = _closure_rows(pred)
-    up = {w: _names(world_list, row) for w, row in zip(world_list, up_rows)}
 
     val: dict[str, frozenset[str]] = {}
     atom_rows: dict[str, int] = {}
@@ -167,11 +173,7 @@ def build_model(
     cls = PosetModel if antisymmetric else PreorderModel
     return cls(
         worlds=tuple(world_list),
-        base_edges=tuple(base),
-        order=frozenset((w, v) for w in world_list for v in up[w]),
         valuation=val,
-        up=up,
-        down={w: _names(world_list, row) for w, row in zip(world_list, down_rows)},
         index=index,
         up_rows=tuple(up_rows),
         down_rows=tuple(down_rows),
@@ -241,6 +243,21 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _names(worlds: Sequence[str], row: int) -> frozenset[str]:
     """The worlds at the set bits of row, selected by its reversed binary digits."""
     return frozenset(compress(worlds, bin(row)[:1:-1].encode().translate(_BIT_BYTES)))
+
+
+def _positions(row: int) -> Iterator[int]:
+    """The set bits of row, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+def _pairs(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(i, j) for each set bit j of each rows[i], in ascending order."""
+    for i, row in enumerate(rows):
+        for j in _positions(row):
+            yield i, j
 
 
 def _compile(formula: Formula) -> list[tuple]:
@@ -321,24 +338,28 @@ def _reach(area: int, touch: int, up: Sequence[int], down: Sequence[int]) -> int
     return out
 
 
-def _check_world_subset(model: PreorderModel, worlds: Iterable[str]) -> frozenset[str]:
-    ws = frozenset(worlds)
-    unknown = ws - model.world_set
-    if unknown:
-        raise ModelError(f"unknown worlds: {sorted(unknown)}")
-    return ws
+def _subset_row(model: PreorderModel, worlds: Iterable[str]) -> int:
+    """Bitmask of a collection of world names; unknown names are an error."""
+    try:
+        return _row(model.index, worlds)
+    except KeyError:
+        unknown = sorted(set(worlds) - model.world_set)
+        raise ModelError(f"unknown worlds: {unknown}") from None
+
+
+def _position(model: PreorderModel, world: str) -> int:
+    if world not in model.index:
+        raise ModelError(f"unknown world: {world!r}")
+    return model.index[world]
 
 
 def reach_targets(
     model: PreorderModel, start: str, area: Iterable[str]
 ) -> frozenset[str]:
     """Worlds reachable from start along up-down paths with middles in area."""
-    a_set = _check_world_subset(model, area)
-    if start not in model.world_set:
-        raise ModelError(f"unknown world: {start!r}")
+    a_row = _subset_row(model, area)
     row = _reach(
-        _row(model.index, a_set), model.up_rows[model.index[start]],
-        model.up_rows, model.down_rows,
+        a_row, model.up_rows[_position(model, start)], model.up_rows, model.down_rows
     )
     return _names(model.worlds, row)
 
@@ -353,64 +374,37 @@ def witness_path(
 
     The path alternates upper and lower elements: start <= u1, strict
     descents and ascents between consecutive uppers, and u_last >= end.
-    Deterministic: breadth-first over uppers with sorted tie-breaking.
-    Returns None when no witness exists.
+    Deterministic: breadth-first over uppers with ascending positions, that
+    is name order, as tie-break.  Returns None when no witness exists.
     """
-    a_set = _check_world_subset(model, area)
-    b_set = _check_world_subset(model, goal)
-    if start not in model.world_set:
-        raise ModelError(f"unknown world: {start!r}")
-
-    def is_goal(u: str) -> bool:
-        return bool(model.down[u] & b_set)
-
-    parents: dict[str, tuple[str, str] | None] = {}
-    queue: deque[str] = deque()
-    for u in sorted(a_set & model.up[start]):
-        parents[u] = None
-        queue.append(u)
+    a_row = _subset_row(model, area)
+    b_row = _subset_row(model, goal)
+    up, down = model.up_rows, model.down_rows
+    first = a_row & up[_position(model, start)]
+    parents: dict[int, tuple[int, int] | None] = dict.fromkeys(_positions(first))
+    queue = deque(parents)
+    reached = first
     # A lower's first expansion already links every upper above it.
-    expanded: set[str] = set()
-    final: str | None = None
+    expanded = 0
     while queue:
         u = queue.popleft()
-        if is_goal(u):
-            final = u
-            break
-        for x in sorted(a_set & model.down[u]):
-            if x in expanded or not model.lt(x, u):
-                continue
-            expanded.add(x)
-            for u2 in sorted(a_set & model.up[x]):
-                if u2 in parents or not model.lt(x, u2):
-                    continue
+        if down[u] & b_row:
+            middle = [u]  # the last upper, then lowers and uppers back to the first
+            while parents[middle[-1]] is not None:
+                upper, lower = parents[middle[-1]]
+                middle.extend((lower, upper))
+            middle.reverse()
+            middle.append(next(_positions(down[u] & b_row)))
+            return (start, *(model.worlds[i] for i in middle))
+        lowers = a_row & down[u] & ~up[u] & ~expanded
+        expanded |= lowers
+        for x in _positions(lowers):
+            fresh = a_row & up[x] & ~down[x] & ~reached
+            reached |= fresh
+            for u2 in _positions(fresh):
                 parents[u2] = (u, x)
                 queue.append(u2)
-    if final is None:
-        return None
-
-    uppers: list[str] = []
-    lowers: list[str] = []
-    node: str | None = final
-    while node is not None:
-        uppers.append(node)
-        link = parents[node]
-        if link is None:
-            node = None
-        else:
-            node, x = link
-            lowers.append(x)
-    uppers.reverse()
-    lowers.reverse()
-
-    path: list[str] = [start]
-    for i, u in enumerate(uppers):
-        path.append(u)
-        if i < len(lowers):
-            path.append(lowers[i])
-    end = min(sorted(model.down[final] & b_set))
-    path.append(end)
-    return tuple(path)
+    return None
 
 
 def check_updown_path(
@@ -421,8 +415,8 @@ def check_updown_path(
     Shape: odd length of at least three, first step ascending, last step
     descending, and strict zigzag alternation on interior middle elements.
     """
-    a_set = _check_world_subset(model, area)
-    if any(w not in model.world_set for w in path):
+    a_row = _subset_row(model, area)
+    if any(w not in model.index for w in path):
         return False
     k = len(path) - 1
     if k < 2 or k % 2 != 0:
@@ -437,7 +431,7 @@ def check_updown_path(
             return False
         if not model.lt(path[2 * i], path[2 * i + 1]):
             return False
-    return all(w in a_set for w in path[1:k])
+    return _row(model.index, path[1:k]) & ~a_row == 0
 
 
 def evaluate(model: PreorderModel, formula: Formula) -> frozenset[str]:
@@ -455,20 +449,21 @@ def is_valid(model: PreorderModel, formula: Formula) -> bool:
     return evaluate(model, formula) == model.world_set
 
 
-def nonempty_chains(model: PosetModel) -> list[frozenset[str]]:
-    """All non-empty chains of a poset, each discovered once in ascending order."""
+def nonempty_chains(model: PosetModel) -> dict[frozenset[str], str]:
+    """All non-empty chains of a poset, each mapped to its top: each chain is
+    found once, grown upward along the up-rows, so its last world is its top."""
     if not isinstance(model, PosetModel):
         raise ModelError("chains are only enumerated for posets")
-    chains: list[frozenset[str]] = []
+    chains: dict[frozenset[str], str] = {}
+    worlds, up = model.worlds, model.up_rows
 
-    def extend(chain: tuple[str, ...], top: str) -> None:
-        chains.append(frozenset(chain))
-        for v in sorted(model.up[top]):
-            if v != top:
-                extend(chain + (v,), v)
+    def extend(chain: tuple[str, ...], top: int) -> None:
+        chains[frozenset(chain)] = worlds[top]
+        for v in _positions(up[top] & ~(1 << top)):
+            extend(chain + (worlds[v],), v)
 
-    for w in sorted(model.worlds):
-        extend((w,), w)
+    for w in range(len(worlds)):
+        extend((worlds[w],), w)
     return chains
 
 
@@ -539,10 +534,9 @@ def parse_model(text: str) -> PreorderModel:
 
 def serialize_model(model: PreorderModel) -> str:
     """Canonical text for a model; parsing it back rebuilds an equal model."""
-    lines = ["worlds " + " ".join(model.worlds)]
-    for a, b in sorted(model.order):
-        if a != b:
-            lines.append(f"order {a} {b}")
+    w = model.worlds
+    lines = ["worlds " + " ".join(w)]
+    lines.extend(f"order {w[i]} {w[j]}" for i, j in _pairs(model.up_rows) if i != j)
     for name in sorted(model.valuation):
         members = " ".join(sorted(model.valuation[name]))
         lines.append(f"valuation {name} {members}".rstrip())

@@ -34,6 +34,9 @@ from .kripke import (
     ModelError,
     PosetModel,
     PreorderModel,
+    _pairs,
+    _positions,
+    _reach,
     build_model,
     check_updown_path,
     evaluate,
@@ -103,10 +106,7 @@ def nerve(model: PosetModel) -> NerveModel:
     names = [_label(c) for c in found]
     _require_distinct(names)
     chains = dict(zip(names, found))
-    tops = {
-        name: max(chain, key=lambda w: len(model.down[w] & chain))
-        for name, chain in chains.items()
-    }
+    tops = dict(zip(names, found.values()))
     edges = [
         (a, b)
         for a, ca in chains.items()
@@ -159,21 +159,30 @@ def is_updown_morphism(
             if (w in source_ext) != (f[w] in target_ext):
                 return MorphismCheck(False, "atom", (atom, w))
 
-    for w, u in sorted(source.order):
-        if not target.leq(f[w], f[u]):
-            return MorphismCheck(False, "forth", (w, u))
+    # Positions ascend in name order, so the first violation found is the
+    # first in sorted order.
+    image = [target.index[f[w]] for w in source.worlds]
+    for i, j in _pairs(source.up_rows):
+        if not target.up_rows[image[i]] >> image[j] & 1:
+            return MorphismCheck(False, "forth", (source.worlds[i], source.worlds[j]))
 
-    fibers: dict[str, set[str]] = {}
-    for w in source.worlds:
-        fibers.setdefault(f[w], set()).add(w)
-    for w in source.worlds:
-        for u_prime in sorted(target.up[f[w]]):
-            area = frozenset(fibers.get(u_prime, ()))
-            reachable = reach_targets(source, w, area)
-            images = {f[z] for z in reachable}
-            for v_prime in sorted(target.down[u_prime]):
-                if v_prime not in images:
-                    return MorphismCheck(False, "back", (w, u_prime, v_prime))
+    fibers = [0] * len(target.worlds)
+    for i, t in enumerate(image):
+        fibers[t] |= 1 << i
+    for i, w in enumerate(source.worlds):
+        for u_prime in _positions(target.up_rows[image[i]]):
+            reachable = _reach(
+                fibers[u_prime], source.up_rows[i], source.up_rows, source.down_rows
+            )
+            images = 0
+            for z in _positions(reachable):
+                images |= 1 << image[z]
+            unmatched = target.down_rows[u_prime] & ~images
+            if unmatched:
+                v_prime = next(_positions(unmatched))
+                return MorphismCheck(
+                    False, "back", (w, target.worlds[u_prime], target.worlds[v_prime])
+                )
     return MorphismCheck(True)
 
 
@@ -260,9 +269,10 @@ def filtrate(model: PreorderModel, sigma: AdequateSet) -> ClassModel:
         if isinstance(m, Atom) and m.name != RESERVED_ATOM
     }
     built = build_model(theories.keys(), edges, valuation)
-    for w, v in model.order:
-        assert built.leq(class_map[w], class_map[v]), (
-            f"filtration dropped the source pair {w} <= {v}"
+    image = [built.index[class_map[w]] for w in model.worlds]
+    for i, j in _pairs(model.up_rows):
+        assert built.up_rows[image[i]] >> image[j] & 1, (
+            f"filtration dropped the source pair {model.worlds[i]} <= {model.worlds[j]}"
         )
     return ClassModel(
         model=built,
@@ -328,13 +338,12 @@ def cut(model: PreorderModel) -> PosetModel:
     Clusters flatten into antichains; the result is always a poset, and a
     poset passes through unchanged.
     """
-    edges = [(x, y) for x, y in model.order if x != y and not model.leq(y, x)]
+    strict = [up & ~down for up, down in zip(model.up_rows, model.down_rows)]
+    edges = [(model.worlds[i], model.worlds[j]) for i, j in _pairs(strict)]
     valuation = {atom: set(members) for atom, members in model.valuation.items()}
     built = build_model(model.worlds, edges, valuation)
     assert isinstance(built, PosetModel)
-    assert built.order == frozenset(
-        (x, y) for x, y in model.order if x == y or not model.leq(y, x)
-    )
+    assert built.up_rows == tuple(row | 1 << i for i, row in enumerate(strict))
     return built
 
 
@@ -380,10 +389,11 @@ def _source_refined(filtration: ClassModel) -> PreorderModel:
         for b in classes.worlds
         if a != b and classes.leq(a, b) and not classes.leq(b, a)
     ]
+    image = [filtration.class_map[w] for w in filtration.source.worlds]
     edges.extend(
-        (filtration.class_map[w], filtration.class_map[v])
-        for w, v in filtration.source.order
-        if filtration.class_map[w] != filtration.class_map[v]
+        (image[i], image[j])
+        for i, j in _pairs(filtration.source.up_rows)
+        if image[i] != image[j]
     )
     refined = build_model(classes.worlds, edges, classes.valuation)
 

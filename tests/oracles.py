@@ -1,15 +1,28 @@
 """Slow reference semantics that the tests compare the package against.
 
 The evaluators share no code with the package's evaluation engine: worlds
-are handled by name, the box reads the up-sets directly, and gamma is read
-off the least-fixpoint reachability relation.  The scalar satisfiability
+are handled by name, up- and down-sets are read off ``leq`` one pair at a
+time, the box reads the up-sets directly, and gamma is read off the
+least-fixpoint reachability relation.  The scalar satisfiability
 search walks the same orders and assignments as ``find_model`` but runs the
 mask engine once per assignment instead of on lanes of assignments.
 """
 
+from collections import deque
+from functools import lru_cache
+
 from polyreach.formulas import And, Atom, Box, Not, Reach, atoms_of
 from polyreach.kripke import _compile, _run
 from polyreach.soundness import _ascending_closures, _model_from_masks
+
+
+@lru_cache(maxsize=16)
+def order_sets(model):
+    """Up- and down-sets by name, from ``leq`` on every pair of worlds."""
+    worlds = model.worlds
+    up = {w: frozenset(v for v in worlds if model.leq(w, v)) for w in worlds}
+    down = {v: frozenset(w for w in worlds if v in up[w]) for v in worlds}
+    return up, down
 
 
 def reach_relation(model, area):
@@ -21,9 +34,10 @@ def reach_relation(model, area):
     unknown = a_set - model.world_set
     if unknown:
         raise ValueError(f"unknown worlds: {sorted(unknown)}")
+    _, down = order_sets(model)
     relation = set()
     for u in a_set:
-        below = model.down[u]
+        below = down[u]
         relation.update((w, v) for w in below for v in below)
     changed = True
     while changed:
@@ -50,7 +64,8 @@ def evaluate_fixpoint(model, formula):
             return evaluate_fixpoint(model, left) & evaluate_fixpoint(model, right)
         case Box(child):
             body = evaluate_fixpoint(model, child)
-            return frozenset(w for w in model.worlds if model.up[w] <= body)
+            up, _ = order_sets(model)
+            return frozenset(w for w in model.worlds if up[w] <= body)
         case Reach(left, right):
             relation = reach_relation(model, evaluate_fixpoint(model, left))
             goal = evaluate_fixpoint(model, right)
@@ -65,16 +80,57 @@ def updown_bfs(model, start, area):
     may leave it only to end the walk.  A shortest walk never repeats a
     (world, parity) state, so plain breadth-first search is complete.
     """
+    up, down = order_sets(model)
     frontier = {start}
     seen_even = {start}
     reached = set()
     while frontier:
-        tops = {u for x in frontier for u in model.up[x] if u in area}
-        bottoms = {v for u in tops for v in model.down[u]}
+        tops = {u for x in frontier for u in up[x] if u in area}
+        bottoms = {v for u in tops for v in down[u]}
         reached |= bottoms
         frontier = {v for v in bottoms if v in area and v not in seen_even}
         seen_even |= frontier
     return reached
+
+
+def witness_path_by_name(model, start, area, goal):
+    """Breadth-first up-down witness search on name sets.
+
+    Uppers are expanded in queue order and every candidate set in sorted
+    name order, so the first witness found is the package's.  The path is
+    start, then alternating uppers and strict lowers, then the least goal
+    world under the last upper.
+    """
+    up, down = order_sets(model)
+    a_set, b_set = frozenset(area), frozenset(goal)
+    parents = {}
+    queue = deque()
+    for u in sorted(a_set & up[start]):
+        parents[u] = None
+        queue.append(u)
+    expanded = set()
+    final = None
+    while queue:
+        u = queue.popleft()
+        if down[u] & b_set:
+            final = u
+            break
+        for x in sorted(a_set & down[u]):
+            if x in expanded or not model.lt(x, u):
+                continue
+            expanded.add(x)
+            for u2 in sorted(a_set & up[x]):
+                if u2 in parents or not model.lt(x, u2):
+                    continue
+                parents[u2] = (u, x)
+                queue.append(u2)
+    if final is None:
+        return None
+    middle = [final]
+    while parents[middle[-1]] is not None:
+        upper, lower = parents[middle[-1]]
+        middle.extend((lower, upper))
+    return (start, *reversed(middle), min(down[final] & b_set))
 
 
 def find_model_scalar(formula, max_worlds):

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import evaluate_fixpoint, reach_relation, updown_bfs
+from oracles import evaluate_fixpoint, reach_relation, updown_bfs, witness_path_by_name
 
 from polyreach.formulas import (
     BOT,
@@ -41,7 +41,7 @@ from polyreach.kripke import (
     serialize_model,
     witness_path,
 )
-from polyreach.soundness import random_preorder_model
+from polyreach.soundness import random_poset_model, random_preorder_model
 
 P, Q = Atom("p"), Atom("q")
 
@@ -81,8 +81,8 @@ def test_single_world_is_identity_order():
 
 def test_up_down_sets_and_strictness():
     m = v_model()
-    assert m.up["a"] == frozenset({"a", "u"})
-    assert m.down["u"] == frozenset({"a", "u", "v"})
+    assert {v for v in m.worlds if m.leq("a", v)} == {"a", "u"}
+    assert {w for w in m.worlds if m.leq(w, "u")} == {"a", "u", "v"}
     assert m.lt("a", "u") and not m.lt("a", "a")
     cluster = build_model(["a", "b"], [("a", "b"), ("b", "a")])
     assert not cluster.lt("a", "b")  # comparable both ways, so not strict
@@ -176,9 +176,9 @@ def test_engines_agree_on_random_models():
 
 
 @st.composite
-def _models(draw):
+def _models(draw, max_worlds=7):
     """Small models; posets take only edges that ascend the world numbering."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_worlds))
     worlds = [f"w{i}" for i in range(n)]
     poset = draw(st.booleans())
     pairs = [(a, b) for a in range(n) for b in range(n) if (a < b if poset else a != b)]
@@ -337,6 +337,37 @@ def test_witness_path_agrees_with_evaluate_everywhere():
                 assert path is None
 
 
+@st.composite
+def _fences(draw, max_worlds=8):
+    """Fences p0 < p1 > p2 < p3 ... over shuffled names, where up-down paths
+    often need several turns, plus a few edges: from a minimal to a maximal
+    world of the fence (still a poset) or between any two (a preorder)."""
+    n = draw(st.integers(1, max_worlds))
+    worlds = draw(st.permutations([f"w{i}" for i in range(n)]))
+    steps = enumerate(zip(worlds, worlds[1:]))
+    edges = [(a, b) if k % 2 == 0 else (b, a) for k, (a, b) in steps]
+    if draw(st.booleans()):
+        pairs = [(a, b) for a in worlds[0::2] for b in worlds[1::2]]
+    else:
+        pairs = [(a, b) for a in worlds for b in worlds if a != b]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n // 2)) if pairs else []
+    return build_model(worlds, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_witness_path_matches_name_set_oracle(data):
+    m = data.draw(st.one_of(_models(max_worlds=8), _fences()))
+    worlds = st.sets(st.sampled_from(m.worlds))
+    start = data.draw(st.sampled_from(m.worlds))
+    area = m.world_set - data.draw(worlds)
+    for goal in [frozenset(data.draw(worlds)), *({w} for w in m.worlds)]:
+        path = witness_path(m, start, area, goal)
+        assert path == witness_path_by_name(m, start, area, goal)
+        if path is not None:
+            assert check_updown_path(m, path, area)
+
+
 def test_witness_paths_on_a_large_poset():
     # Goals high in the order make many uppers share lowers; each lower is
     # expanded once, so this stays fast while paths stay checkable.
@@ -446,12 +477,15 @@ def test_serialize_is_canonical_and_round_trips():
 
 def test_round_trip_random_models():
     rng = random.Random(3)
-    for _ in range(25):
-        m = random_preorder_model(rng, max_worlds=6, atoms=("p", "q"))
+    for k in range(50):
+        sample = random_poset_model if k % 2 else random_preorder_model
+        m = sample(rng, max_worlds=6, atoms=("p", "q"))
         text = serialize_model(m)
         again = parse_model(text)
         assert again.worlds == m.worlds
-        assert again.order == m.order
+        assert again.up_rows == m.up_rows and again.down_rows == m.down_rows
+        assert again.valuation == m.valuation
+        assert type(again) is type(m)
         assert serialize_model(again) == text
 
 
